@@ -331,11 +331,6 @@ def cmd_trace(args) -> int:
 def cmd_stats(args) -> int:
     from .obs import Observer
     plane = load_plane_arg(args)
-    if plane is not None and args.sample_intervals is not None:
-        raise ReproError(
-            "stats --sample-intervals conflicts with --instrument; put "
-            "sample_intervals in the spec instead")
-    intervals = args.sample_intervals
     config = parse_config(args.config, seed=args.seed)
     start = time.perf_counter()
     sweep_hash = None
@@ -346,10 +341,7 @@ def cmd_stats(args) -> int:
         # obs_spec, so it is part of every store key by construction.
         from .parallel import latency_matrix_spec, run_sweep
         store = ResultStore(args.store) if args.store else None
-        obs_spec = {"sample_interval": args.sample_interval,
-                    "sample_intervals": intervals}
-        if plane is not None:
-            obs_spec["plane"] = plane.to_dict()
+        obs_spec = {} if plane is None else {"plane": plane.to_dict()}
         spec = latency_matrix_spec(config, obs_spec=obs_spec)
         result = run_sweep(spec, jobs=args.jobs, store=store)
         metrics = dict(result.value["metrics"])
@@ -362,13 +354,13 @@ def cmd_stats(args) -> int:
         if args.store:
             raise ReproError(
                 "stats --store requires the sharded sweep; pass --jobs")
-        obs = Observer(tracing=False, sample_interval=args.sample_interval,
-                       sample_intervals=intervals, plane=plane)
+        obs = Observer(tracing=False, plane=plane)
         proto = Prototype(config, obs=obs)
         _drive_probes(proto)
         metrics = obs.export_metrics()
         cycles, events = proto.now, proto.sim.events_executed
-        series = obs.probes.series()
+        # Only a plane makes a metrics-only run sample.
+        series = obs.probes.series() or None
     wall = time.perf_counter() - start
     if args.format == "json":
         text = json.dumps(metrics, indent=2, sort_keys=True)
@@ -965,8 +957,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     stats = subparsers.add_parser(
         "stats", help="run latency probes with metrics only; print the "
                       "registry as Prometheus text or JSON",
-        parents=[seed_flags(), archive_flags(), sampling_flags(),
-                 instrument_flags(),
+        parents=[seed_flags(), archive_flags(), instrument_flags(),
                  format_flags(choices=("prom", "json"), default="prom"),
                  output_flags("write the dump to PATH instead of stdout"),
                  jobs_flags(default=None,

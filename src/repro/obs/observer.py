@@ -15,6 +15,14 @@ costs one boolean load per hook.  Sampling is activity-driven (see
 :mod:`repro.obs.probes`): hooks nudge the probe clock, nothing is ever
 scheduled into the simulation, and architectural results stay
 bit-identical to an unobserved run.
+
+Probe series exist only when something consumes them: a tracer (which
+draws them as Perfetto counter tracks) or an instrumentation plane
+(which selects them, streams them, or arms triggers on metrics).  A
+metrics-only ``Observer(tracing=False)`` registers no probe sources at
+all — it still binds every counter and gauge into the registry and
+reads the gauges at :meth:`Observer.export_metrics`, which is all a
+sweep worker or an archived ``repro stats`` run keeps.
 """
 
 from __future__ import annotations
@@ -149,13 +157,16 @@ class Observer(NullObserver):
         if tracer is not None and plane is not None and plane.gated:
             tracer = GatedTracer(tracer, plane)
         self.tracer = tracer
+        # Series are built only for a consumer: the tracer's counter
+        # tracks, or a plane's selection, streaming and triggers.
+        self._sampling = tracer is not None or plane is not None
         materialize = not (plane is not None and plane.stream_series)
         self.probes = ProbeSet(
             tracer=self.tracer, interval=sample_interval,
             intervals=sample_intervals,
             by_owner=plane is not None and plane.sampling == "component",
-            materialize=materialize,
-            on_sample=self._metric_trigger_check(plane, tracer))
+            materialize=materialize)
+        self._nudge = self._hook_clock(plane, tracer, sample_interval)
         tracing = tracer is not None
         self._want_noc = tracing and tracer.wants("noc")
         self._want_cache = tracing and tracer.wants("cache")
@@ -166,29 +177,38 @@ class Observer(NullObserver):
         self._want_link = tracing and tracer.wants("link")
         self._want_kernel = tracing and tracer.wants("kernel")
 
-    def _metric_trigger_check(self, plane, tracer):
-        """The probe-cadence callback arming metric-threshold triggers.
+    def _hook_clock(self, plane, tracer, interval):
+        """What the hooks call on instrumented activity: ``(owner, now)``.
 
-        Returns None (no per-sample cost at all) unless the plane
-        declares ``arm_on_metric`` triggers; the check then reads the
-        named metrics from the registry at every probe sample until the
-        trigger fires, and unhooks itself afterwards.
+        That is the probe clock alone unless the plane declares
+        ``arm_on_metric`` triggers on a live tracer.  Then the metric
+        check rides along on its own clock: the first activity past
+        each ``interval`` boundary reads the named metrics from the
+        registry, whether or not any probe source was selected, until
+        every trigger has fired.
         """
+        probe_nudge = self.probes.nudge
         if plane is None or tracer is None or not plane.metric_triggers:
-            return None
+            return probe_nudge
         pending = list(plane.metric_triggers)
         registry = self.registry
+        next_at = interval
 
-        def check(now: int) -> None:
+        def nudge(owner: str, now: int) -> None:
+            nonlocal next_at
+            probe_nudge(owner, now)
+            if now < next_at:
+                return
+            next_at = now - now % interval + interval
             for trigger in list(pending):
                 value = registry.value(trigger.metric)
                 if value is not None and value >= trigger.above:
                     pending.remove(trigger)
                     tracer.open_at(now)
             if not pending:
-                self.probes._on_sample = None
+                next_at = float("inf")
 
-        return check
+        return nudge
 
     # ------------------------------------------------------------------
     # Construction-time registration
@@ -198,6 +218,8 @@ class Observer(NullObserver):
         if self._select is not None and not self._select(path):
             return
         self.registry.gauge(path, fn)
+        if not self._sampling:
+            return
         # The owning component's name is the gauge name minus its final
         # ``.suffix`` segment — the key the component's hooks nudge with
         # in owner-mode sampling.
@@ -219,6 +241,8 @@ class Observer(NullObserver):
             return min(1.0, stats.get("units") * cpu / now)
 
         self.registry.gauge(f"{path}.utilization", lifetime_utilization)
+        if not self._sampling:
+            return
         # ...and a windowed series for the heatmap/time-series charts,
         # sampled on the link's own category interval (noc/axi/pcie).
         self.probes.add(f"{path}.utilization", link_utilization_probe(link),
@@ -293,7 +317,7 @@ class Observer(NullObserver):
     # Event hooks
     # ------------------------------------------------------------------
     def link_transfer(self, link, units, depart, arrival):
-        self.probes.nudge(link.name, link.sim.now)
+        self._nudge(link.name, link.sim.now)
         if self._want_link or (self._want_axi and link.category == "axi") \
                 or (self._want_pcie and link.category == "pcie") \
                 or (self._want_noc and link.category == "noc"):
@@ -310,7 +334,7 @@ class Observer(NullObserver):
 
     def noc_hop(self, router, packet, from_direction):
         now = router.sim.now
-        self.probes.nudge(router.name, now)
+        self._nudge(router.name, now)
         if self._want_noc:
             self.tracer.instant("noc", router.name, "hop", now,
                                 {"from": from_direction.value,
@@ -318,7 +342,7 @@ class Observer(NullObserver):
 
     def noc_eject(self, router, packet):
         now = router.sim.now
-        self.probes.nudge(router.name, now)
+        self._nudge(router.name, now)
         if self._want_noc:
             born = packet.created_at
             self.tracer.complete(
@@ -340,7 +364,7 @@ class Observer(NullObserver):
 
     def cache_op(self, cache, op):
         now = cache.sim.now
-        self.probes.nudge(cache.name, now)
+        self._nudge(cache.name, now)
         if self._want_cache:
             self.tracer.complete("cache", cache.name, op.kind.name.lower(),
                                  op.issued_at, now - op.issued_at,
@@ -353,14 +377,14 @@ class Observer(NullObserver):
 
     def llc_txn(self, llc, line, started_at):
         now = llc.sim.now
-        self.probes.nudge(llc.name, now)
+        self._nudge(llc.name, now)
         if self._want_cache:
             self.tracer.complete("cache", llc.name, "txn", started_at,
                                  now - started_at, {"line": f"{line:#x}"})
 
     def axi_txn(self, port, kind, txn):
         now = port.sim.now
-        self.probes.nudge(port.name, now)
+        self._nudge(port.name, now)
         if self._want_axi:
             self.tracer.instant("axi", port.name, kind, now,
                                 {"addr": f"{txn.addr:#x}"})
@@ -373,7 +397,7 @@ class Observer(NullObserver):
 
     def pcie_transfer(self, fabric, src_node, dst_node, kind, units):
         now = fabric.sim.now
-        self.probes.nudge(fabric.name, now)
+        self._nudge(fabric.name, now)
         if self._want_pcie:
             self.tracer.instant("pcie", fabric.name, kind, now,
                                 {"src": src_node, "dst": dst_node,
@@ -395,7 +419,7 @@ class Observer(NullObserver):
 
     def mem_retire(self, controller, kind, latency):
         now = controller.sim.now
-        self.probes.nudge(controller.name, now)
+        self._nudge(controller.name, now)
         if self._want_mem:
             self.tracer.complete("mem", controller.name, kind,
                                  now - latency, latency)

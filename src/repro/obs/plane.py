@@ -43,8 +43,9 @@ comparison per recorded event.  ``start_at`` opens the gate at a cycle;
 ``stop_after`` closes it that many cycles after it opened;
 ``arm_on_event`` opens it on the first matching ``category.name`` event
 (the arming event itself is recorded); ``arm_on_metric`` opens it the
-first time the metric reads at or above the threshold at a probe
-sample.
+first time the metric reads at or above the threshold; the observer
+checks it on its own activity-driven clock every ``sample_interval``
+cycles, whether or not the metric globs kept any probe source.
 """
 
 from __future__ import annotations

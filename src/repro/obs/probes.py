@@ -6,6 +6,12 @@ runs.  The resulting time series feed the :mod:`repro.analysis`
 utilization charts and are mirrored into the tracer as Chrome counter
 events, so Perfetto draws them as counter tracks alongside the spans.
 
+Series exist only when a tracer or an instrumentation plane consumes
+them: :class:`~repro.obs.observer.Observer` adds sources to its
+``ProbeSet`` only then.  A metrics-only observer reads its gauges once,
+at export, and its ``ProbeSet`` stays empty — the hook-path nudge is
+then a single comparison against a due cycle that never comes.
+
 Sampling is **activity-driven**, not event-scheduled: the observer calls
 :meth:`nudge` from its hooks and a snapshot is taken the first time
 instrumented activity crosses each ``interval`` boundary.  The probe
@@ -108,8 +114,7 @@ class ProbeSet:
                  interval: int = 1000,
                  intervals: Optional[Dict[str, int]] = None,
                  by_owner: bool = False,
-                 materialize: bool = True,
-                 on_sample: Optional[Callable[[int], None]] = None) -> None:
+                 materialize: bool = True) -> None:
         if interval < 1:
             raise ValueError(f"probe interval must be >= 1, got {interval}")
         for category, value in (intervals or {}).items():
@@ -123,7 +128,6 @@ class ProbeSet:
         self._tracer = tracer
         self._by_owner = by_owner
         self._materialize = materialize
-        self._on_sample = on_sample
         self._groups: Dict[str, _Group] = {}
         self._series: Dict[str, List[Tuple[int, float]]] = {}
         self._min_due = _NEVER
@@ -198,21 +202,15 @@ class ProbeSet:
         for group in self._groups.values():
             self._snapshot(group, now)
         self._update_min_due()
-        if self._on_sample is not None:
-            self._on_sample(now)
 
     def maybe_sample(self, now: int) -> None:
         """Snapshot every *due* group (any-activity sampling)."""
         if now < self._min_due:
             return
-        sampled = False
         for group in self._groups.values():
             if now >= group.next_at:
                 self._snapshot(group, now)
-                sampled = True
         self._update_min_due()
-        if sampled and self._on_sample is not None:
-            self._on_sample(now)
 
     def nudge(self, owner: str, now: int) -> None:
         """The observer hook path: advance the probe clock.
@@ -234,8 +232,6 @@ class ProbeSet:
             return
         self._snapshot(group, now)
         self._update_min_due()
-        if self._on_sample is not None:
-            self._on_sample(now)
 
     # ------------------------------------------------------------------
     # Reporting

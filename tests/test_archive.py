@@ -431,6 +431,15 @@ class TestStatsTraceCli:
         assert loaded.metrics == json.loads(
             (tmp_path / "m.json").read_text())
 
+    def test_stats_archive_without_sampling_has_no_series(self, tmp_path,
+                                                          capsys):
+        # A metrics-only run samples nothing, so no series.json.
+        run = tmp_path / "run"
+        assert main(["stats", "2x1x2", "--output", str(tmp_path / "m.prom"),
+                     "--archive", str(run)]) == 0
+        assert not (run / "series.json").exists()
+        assert RunArchive.load(run).series is None
+
     def test_trace_stream_cli(self, tmp_path, capsys):
         out = tmp_path / "t.jsonl.gz"
         assert main(["trace", "2x1x2", "--stream", "--out", str(out),

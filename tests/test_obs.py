@@ -303,6 +303,27 @@ class TestObserverWiring:
         assert any("mshrs" in name for name in gauges)
         assert len(obs.probes) > 0
 
+    def test_metrics_only_observer_registers_no_probe_sources(self):
+        # Series exist only for a consumer (a tracer or a plane); a
+        # metrics-only observer reads its gauges at export instead and
+        # exports exactly what a sampling observer does.
+        def run(obs):
+            proto = Prototype(parse_config("2x1x2"), obs=obs)
+            return proto.latency_matrix(), obs.export_metrics()
+
+        bare = Observer(tracing=False)
+        sampled = Observer(tracing=False, plane={"metrics": ["*"]})
+        bare_matrix, bare_metrics = run(bare)
+        sampled_matrix, sampled_metrics = run(sampled)
+        assert len(bare.probes) == 0
+        assert bare.probes.series() == {}
+        assert sum(len(points)
+                   for points in sampled.probes.series().values()) > 0
+        assert json.dumps(bare_matrix, sort_keys=True) == \
+            json.dumps(sampled_matrix, sort_keys=True)
+        assert json.dumps(bare_metrics, sort_keys=True) == \
+            json.dumps(sampled_metrics, sort_keys=True)
+
     def test_null_observer_is_default_and_inert(self):
         proto = Prototype(parse_config("1x1x2"))
         assert proto.obs is NO_OBS

@@ -209,26 +209,46 @@ class TestGatedTracer:
 
     def test_metric_threshold_trigger_arms_at_probe_cadence(self):
         plane = InstrumentationPlane.from_dict(
-            {"triggers": [{"kind": "arm_on_metric", "metric": "app.load",
+            {"sample_interval": 10,
+             "triggers": [{"kind": "arm_on_metric", "metric": "app.load",
                            "above": 2}]})
         obs = Observer(plane=plane)
         gate = obs.tracer
         assert isinstance(gate, GatedTracer)
-        obs.probes.add("g", lambda: 1.0)
+        assert len(obs.probes) == 0            # no probe source needed
         gate.instant("noc", "c", "hop", 10)
         assert gate.fired == 0
-        obs.probes.sample(30)                  # below threshold: stays shut
+        obs._nudge("c", 30)                    # below threshold: stays shut
         gate.instant("noc", "c", "hop", 35)
         assert gate.fired == 0
         obs.registry.inc("app.load", 3)
-        obs.probes.sample(40)                  # crosses: gate opens at 40
+        obs._nudge("c", 39)                    # next check is due at 40
+        assert gate.fired == 0
+        obs._nudge("c", 40)                    # crosses: gate opens at 40
         gate.instant("noc", "c", "hop", 50)
         assert gate.fired == 1
-        assert obs.probes._on_sample is None   # check unhooked after firing
         metrics = obs.export_metrics()
         assert metrics["obs.plane.triggers.armed"] == 1.0
         assert metrics["obs.plane.triggers.fired"] == 1.0
         assert metrics["obs.plane.trace.suppressed"] >= 2
+
+    def test_metric_trigger_fires_without_selected_probe_gauges(self):
+        # The globs keep one counter and no gauge, so no probe source
+        # exists; the trigger check must still run on its own clock.
+        plane = {"metrics": ["node0.tile0.bpc.misses"],
+                 "sample_interval": 50,
+                 "triggers": [{"kind": "arm_on_metric",
+                               "metric": "node0.tile0.bpc.misses",
+                               "above": 1}]}
+        obs = Observer(plane=plane)
+        proto = Prototype(parse_config("1x1x2"), obs=obs)
+        for probe in range(40):
+            proto.measure_pair_latency(0, 1, probe)
+        assert len(obs.probes) == 0
+        metrics = obs.export_metrics()
+        assert metrics["node0.tile0.bpc.misses"] == 40
+        assert metrics["obs.plane.triggers.fired"] == 1.0
+        assert obs.tracer.event_count() > 0
 
     def test_end_to_end_window_on_a_real_run(self, tmp_path):
         out = tmp_path / "gated.jsonl"
@@ -286,7 +306,7 @@ class TestObserverPlane:
         assert probes.series("b.y") == [(25, 2.0)]
 
     def test_raising_probe_degrades_gracefully(self):
-        obs = Observer(tracing=False)
+        obs = Observer()    # the tracer consumes samples, so probes exist
         obs.register_gauge("good.depth", lambda: 1.0)
         obs.register_gauge("bad.depth",
                            lambda: (_ for _ in ()).throw(RuntimeError("x")))
@@ -345,7 +365,7 @@ class TestCli:
     ])
     def test_sampling_flags_validated_at_parse_time(self, flags, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["stats", "2x1x2"] + flags)
+            main(["trace", "2x1x2"] + flags)
         assert excinfo.value.code == 2
         assert "--sample-interval" in capsys.readouterr().err
 
