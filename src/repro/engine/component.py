@@ -26,8 +26,10 @@ class Component:
         # self.schedule per message, and the instance attribute skips the
         # passthrough frame below.
         self.schedule = sim.schedule
-        # Observability: hooks go through self.obs unconditionally; the
-        # default NO_OBS makes every one a no-op.  Binding the stat group
+        # Observability: hooks go through self.obs (see
+        # repro.engine.observer for which ones are guarded by
+        # obs.enabled); the default NO_OBS makes every one a no-op.
+        # Binding the stat group
         # here means an enabled observer exports every component's
         # counters under its hierarchical name with zero per-component
         # registration code.

@@ -27,15 +27,16 @@ Sink = Callable[[object], None]
 class Link(Component):
     """A serializing, latency-imposing connection to a sink callback.
 
-    ``sink_args`` are appended to every delivery — the sink is called as
-    ``sink(message, *sink_args)`` — so endpoints can receive routing
-    context (e.g. arrival direction and channel) without a per-link
-    closure wrapping the handler.
+    The send path binds everything it touches at construction: the
+    delivery channel's ``send_after``, the stat counters, the integral
+    per-unit cost, and whether the observer is enabled (the
+    ``link_transfer`` hook runs only then).  :meth:`redirect` is the one
+    supported way to swap the delivery channel afterwards.
     """
 
     def __init__(self, sim: Simulator, name: str, sink: Sink,
                  latency: int = 1, cycles_per_unit: float = 1.0,
-                 sink_args: tuple = (), category: str = "link"):
+                 category: str = "link"):
         super().__init__(sim, name)
         if latency < 0:
             raise ConfigError(f"{name}: negative latency {latency}")
@@ -43,21 +44,33 @@ class Link(Component):
             raise ConfigError(
                 f"{name}: negative cycles_per_unit {cycles_per_unit}")
         self.sink = sink
-        self.sink_args = sink_args
         self.latency = latency
         self.cycles_per_unit = cycles_per_unit
+        # Serialization rule shared by send and send_many: an integral
+        # per-unit cost multiplies exactly; anything else rounds
+        # ``units * cycles_per_unit`` half-to-even.
+        self._unit_cycles = (int(cycles_per_unit)
+                             if float(cycles_per_unit).is_integer() else None)
         self.category = category
         self._free_at = 0
+        self._counters = self.stats.counters
+        self._queueing = None
+        self._obs_on = sim.obs.enabled
         sim.obs.register_link(self)
         # Deliveries ride the typed fast path: the sink is fixed at
         # construction, only the arrival delay varies (queueing +
         # serialization), so every send is a single-payload send_after.
-        if sink_args:
-            def deliver(message: object, _sink=sink, _args=sink_args) -> None:
-                _sink(message, *_args)
-            self._channel = sim.channel(latency, deliver)
-        else:
-            self._channel = sim.channel(latency, sink)
+        self.redirect(sim.channel(latency, sink))
+
+    def redirect(self, channel) -> None:
+        """Deliver through ``channel`` from now on.
+
+        ``channel`` needs the ``send_after`` / ``send_after_many`` surface
+        of :class:`~repro.engine.simulator.ConstLatencyChannel`; sender-side
+        behaviour (serialization, occupancy, stats, obs) is unchanged.
+        """
+        self._channel = channel
+        self._send_after = channel.send_after
 
     def send(self, message: object, units: int = 1) -> int:
         """Transmit ``message`` of the given size; returns arrival time.
@@ -66,19 +79,24 @@ class Link(Component):
         starting no earlier than the link becomes free, then arrives
         ``latency`` cycles later.
         """
-        sim = self.sim
-        now = sim.now
+        now = self.sim.now
         free_at = self._free_at
         depart = now if free_at < now else free_at
-        serialization = int(round(units * self.cycles_per_unit))
-        self._free_at = depart + max(serialization, 1 if units else 0)
+        step = self._unit_cycles
+        serialization = (units * step if step is not None
+                         else int(round(units * self.cycles_per_unit)))
+        self._free_at = depart + (serialization or (1 if units else 0))
         arrival = depart + serialization + self.latency
-        self._channel.send_after(arrival - now, message)
-        stats = self.stats
-        stats.inc("messages")
-        stats.inc("units", units)
-        stats.observe("queueing", depart - now)
-        self.obs.link_transfer(self, units, depart, arrival)
+        self._send_after(arrival - now, message)
+        counters = self._counters
+        counters["messages"] = counters.get("messages", 0) + 1
+        counters["units"] = counters.get("units", 0) + units
+        queueing = self._queueing
+        if queueing is None:
+            queueing = self._queueing = self.stats.histogram("queueing")
+        queueing.add(depart - now)
+        if self._obs_on:
+            self.obs.link_transfer(self, units, depart, arrival)
         return arrival
 
     def send_many(self, messages, units_each: int = 1) -> int:
@@ -98,7 +116,9 @@ class Link(Component):
             return now
         free_at = self._free_at
         depart = now if free_at < now else free_at
-        serialization = int(round(units_each * self.cycles_per_unit))
+        step = self._unit_cycles
+        serialization = (units_each * step if step is not None
+                         else int(round(units_each * self.cycles_per_unit)))
         # Each message occupies the link for `occupy` cycles, so repeated
         # send() calls step both departure and arrival by exactly that.
         occupy = max(serialization, 1 if units_each else 0)
@@ -109,16 +129,17 @@ class Link(Component):
             # one cycle — a single batched calendar insert.
             self._channel.send_after_many(arrival - now, messages)
         else:
-            channel = self._channel
+            send_after = self._send_after
             for message in messages:
-                channel.send_after(arrival - now, message)
+                send_after(arrival - now, message)
                 arrival += occupy
             arrival -= occupy
         stats = self.stats
         stats.inc("messages", n)
         stats.inc("units", units_each * n)
         stats.observe("queueing", depart - now)
-        self.obs.link_transfer(self, units_each * n, depart, arrival)
+        if self._obs_on:
+            self.obs.link_transfer(self, units_each * n, depart, arrival)
         return arrival
 
     @property
@@ -130,7 +151,5 @@ class Link(Component):
 class InstantLink(Link):
     """A zero-latency, infinite-bandwidth link (for intra-module wiring)."""
 
-    def __init__(self, sim: Simulator, name: str, sink: Sink,
-                 sink_args: tuple = ()):
-        super().__init__(sim, name, sink, latency=0, cycles_per_unit=0.0,
-                         sink_args=sink_args)
+    def __init__(self, sim: Simulator, name: str, sink: Sink):
+        super().__init__(sim, name, sink, latency=0, cycles_per_unit=0.0)

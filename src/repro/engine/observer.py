@@ -2,13 +2,21 @@
 
 Every :class:`~repro.engine.component.Component` carries ``self.obs``,
 taken from its simulator.  By default that is :data:`NO_OBS`, an instance
-of :class:`NullObserver` whose hook methods all do nothing — component
-code calls ``self.obs.noc_hop(self, packet, direction)`` unconditionally,
-with no ``if`` guarding the call site, and the disabled path costs one
-no-op method call.  The hooks deliberately take cheap positional
-arguments (the component itself plus objects the caller already holds);
-anything expensive — name formatting, dict building, time lookups — is
-deferred to the enabled implementation in :mod:`repro.obs`.
+of :class:`NullObserver` whose hook methods all do nothing.  Two rules
+decide when a hook is called:
+
+* the per-packet NoC and link hooks (``noc_inject``, ``noc_hop``,
+  ``noc_eject``, ``noc_offchip``, ``noc_credit_stall``,
+  ``link_transfer``) are guarded by ``obs.enabled``, which routers and
+  links read once at construction — under a disabled observer they are
+  never called, so the per-hop path makes no call at all;
+* every other hook is called unconditionally, with no ``if`` at the
+  call site, and costs one no-op method call when disabled.
+
+The hooks deliberately take cheap positional arguments (the component
+itself plus objects the caller already holds); anything expensive —
+name formatting, dict building, time lookups — is deferred to the
+enabled implementation in :mod:`repro.obs`.
 
 The interface lives in the engine (not in :mod:`repro.obs`) so the
 kernel has no dependency on the observability package; ``repro.obs``

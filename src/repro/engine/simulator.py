@@ -486,8 +486,9 @@ class Simulator:
         #: The drain implementation actually running ("accel" or "python").
         self.kernel = "accel" if self._accel is not None else "python"
         # Observability hooks (repro.obs.Observer); the null object keeps
-        # every component-side call site unconditional and the disabled
-        # path free of branches.  Channel wrapping happens at construction
+        # component-side call sites free of branches, except the
+        # per-packet NoC/link hooks, which are skipped outright while
+        # obs.enabled is False.  Channel wrapping happens at construction
         # time, so the scheduling hot paths below never consult this.
         self.obs = obs if obs is not None else NO_OBS
         self._buckets: dict = {}     # time -> list[Event], in execution order

@@ -106,8 +106,8 @@ class PartitionFabric(PcieFabric):
             return None
         link = super()._build_link(src, dst)
         if dst not in self._local_fpgas:
-            link._channel = _BoundaryCapture(
-                self, self._fpga_partition[dst], link)
+            link.redirect(_BoundaryCapture(
+                self, self._fpga_partition[dst], link))
         return link
 
     def is_local_node(self, node_id: int) -> bool:

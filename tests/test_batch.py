@@ -229,9 +229,8 @@ class TestDebugBatch:
 def _link_train(batched, latency=2, cycles_per_unit=1.0, units_each=3):
     sim = Simulator()
     deliveries = []
-    link = Link(sim, "l", lambda m, tag: deliveries.append((sim.now, m, tag)),
-                latency=latency, cycles_per_unit=cycles_per_unit,
-                sink_args=("ctx",))
+    link = Link(sim, "l", lambda m: deliveries.append((sim.now, m)),
+                latency=latency, cycles_per_unit=cycles_per_unit)
     link.send("warmup", units=2)
     if batched:
         arrival = link.send_many(["a", "b", "c"], units_each=units_each)

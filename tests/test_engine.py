@@ -125,6 +125,45 @@ class TestLink:
         assert times == [2, 4, 6]
 
 
+    @pytest.mark.parametrize("cycles_per_unit", [0, 0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("units", [0, 1, 2, 3])
+    def test_send_and_send_many_share_serialization(self, cycles_per_unit,
+                                                    units):
+        # Both paths charge int(round(units * cpu)) cycles, which rounds
+        # halves to even (0.5 -> 0, 1.5 -> 2).
+        serialization = int(round(units * cycles_per_unit))
+        occupy = max(serialization, 1 if units else 0)
+        for batched in (False, True):
+            sim = Simulator()
+            arrivals = []
+            link = Link(sim, "l", lambda m: arrivals.append((sim.now, m)),
+                        latency=3, cycles_per_unit=cycles_per_unit)
+            if batched:
+                last = link.send_many(["a", "b"], units_each=units)
+            else:
+                link.send("a", units=units)
+                last = link.send("b", units=units)
+            assert link.busy_until == 2 * occupy
+            sim.run()
+            expected = [(serialization + 3, "a"),
+                        (occupy + serialization + 3, "b")]
+            assert arrivals == expected
+            assert last == expected[-1][0]
+
+    def test_redirect_swaps_delivery_channel(self):
+        sim = Simulator()
+        old, new = [], []
+        link = Link(sim, "l", old.append, latency=2, cycles_per_unit=1.0)
+        link.send("a")
+        link.redirect(sim.channel(2, new.append))
+        link.send("b")
+        link.send_many(["c", "d"])
+        sim.run()
+        assert old == ["a"]
+        assert new == ["b", "c", "d"]
+        assert link.stats.get("messages") == 4
+
+
 class TestStats:
     def test_counters_autovivify(self):
         group = StatGroup("g")

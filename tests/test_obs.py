@@ -12,7 +12,8 @@ import pytest
 
 from repro import Prototype, parse_config
 from repro.cli import main
-from repro.engine import NO_OBS, Histogram, Simulator, StatGroup
+from repro.engine import (NO_OBS, Histogram, NullObserver, Simulator,
+                          StatGroup)
 from repro.engine.link import Link
 from repro.errors import ReproError
 from repro.obs import (MetricRegistry, Observer, ProbeSet, Tracer,
@@ -332,6 +333,41 @@ class TestObserverWiring:
         # Null hooks accept anything and return nothing.
         assert NO_OBS.link_transfer(None, 1, 2, 3) is None
         assert NO_OBS.wrap_channel(None, "ch") == "ch"
+
+    def test_disabled_observer_gets_no_per_packet_hook_calls(self):
+        # Per-packet NoC and link hooks are guarded by obs.enabled, read
+        # once at construction: a disabled observer is never called.
+        class CountingObserver(NullObserver):
+            enabled = False
+
+            def __init__(self):
+                self.calls = {}
+
+            def _count(self, hook):
+                self.calls[hook] = self.calls.get(hook, 0) + 1
+
+            def link_transfer(self, *args):
+                self._count("link_transfer")
+
+            def noc_inject(self, *args):
+                self._count("noc_inject")
+
+            def noc_hop(self, *args):
+                self._count("noc_hop")
+
+            def noc_eject(self, *args):
+                self._count("noc_eject")
+
+        config = parse_config("2x1x2")
+        obs = CountingObserver()
+        proto = Prototype(config, obs=obs)
+        assert proto.obs is obs
+        latencies = [proto.measure_pair_latency(0, 3),
+                     proto.measure_pair_latency(3, 0)]
+        base = Prototype(config)
+        assert latencies == [base.measure_pair_latency(0, 3),
+                             base.measure_pair_latency(3, 0)]
+        assert obs.calls == {}
 
     def test_traced_run_produces_events_and_samples(self):
         obs = Observer(sample_interval=50)
