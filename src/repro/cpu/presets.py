@@ -36,10 +36,6 @@ class CoreTimings:
     div_extra: int = 20
     taken_branch_extra: int = 2
 
-    def alu_cost(self, count: int = 1) -> int:
-        """Cycles for ``count`` consecutive plain instructions."""
-        return max(count, round(count * self.cycles_per_instruction))
-
 
 CORE_TIMINGS: Dict[str, CoreTimings] = {
     "ariane": CoreTimings("ariane"),

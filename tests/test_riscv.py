@@ -395,3 +395,238 @@ class TestCorePresets:
             proto.run()
             results.append(core.exit_code)
         assert results == [42, 42, 42, 42]
+
+
+MASK64 = 2 ** 64 - 1
+INT64_MIN = -(1 << 63)
+
+
+class TestDivRem:
+    """Signed and unsigned divide, exact for every 64-bit operand.
+
+    Each case runs ``op a0, t0, t1`` on the core.  The large operands are
+    past 2**53, where a float quotient loses low bits.
+    """
+
+    CASES = [
+        # op, x[rs1], x[rs2], expected x[rd] (as signed integers)
+        ("div", 0x4000000000000003, 3, 0x1555555555555556),
+        ("rem", 0x4000000000000003, 3, 1),
+        ("div", -0x4000000000000003, 3, -0x1555555555555556),
+        ("rem", -0x4000000000000003, 3, -1),
+        ("div", 0x7FFFFFFFFFFFFFFF, -2, -0x3FFFFFFFFFFFFFFF),
+        ("rem", 0x7FFFFFFFFFFFFFFF, -2, 1),
+        ("div", INT64_MIN, -1, INT64_MIN),          # overflow: MIN / -1
+        ("rem", INT64_MIN, -1, 0),
+        ("div", 0x4000000000000003, 0, -1),         # divide by zero
+        ("rem", 0x4000000000000003, 0, 0x4000000000000003),
+        ("divu", -1, 3, 0x5555555555555555),
+        ("remu", -1, 0x4000000000000003, 0x3FFFFFFFFFFFFFF6),
+        ("divw", 0x12345678FFFFFFF9, 0xABCD00000002, -3),   # low words
+        ("remw", 0x12345678FFFFFFF9, 0xABCD00000002, -1),
+        ("divw", -0x80000000, -1, -0x80000000),     # overflow: MIN / -1
+        ("remw", -0x80000000, -1, 0),
+        ("divw", 0x7FFFFFFF, 0x100000000, -1),      # low word of rs2 is 0
+        ("remw", 0x1FFFFFFFF, 0x100000000, -1),
+    ]
+
+    @pytest.mark.parametrize("op,a,b,expected", CASES)
+    def test_exact_result(self, op, a, b, expected):
+        _, core = run_on_prototype(f"""
+        _start:
+            li t0, {a}
+            li t1, {b}
+            {op} a0, t0, t1
+            li a7, 93
+            ecall
+        """)
+        assert core.halted
+        assert core.regs[10] == expected & MASK64, (
+            f"{op} {a:#x}, {b:#x}: got {core.regs[10]:#x}")
+
+
+class TestTimingEnvelope:
+    """Exact timing of one fixed program under every preset.
+
+    The program covers all six branch types taken and not taken, a taken
+    branch to pc + 4 (it still pays ``taken_branch_extra``), JAL/JALR,
+    LUI/AUIPC, FENCE, the multiply and divide families, a loop that spans
+    several batches with a multiply into x0, loads and stores of every
+    size, and ``csrrs cycle``.  The two straight runs between stores end
+    on a whole cycle only if each instruction adds
+    ``cycles_per_instruction + extra`` to the batch's float in one step
+    (anycore and openspark-t1 have fractional CPIs).  The constants were recorded on the
+    string-dispatch interpreter that the pre-decoded core replaced, so a
+    change in cycle accumulation order, a lost extra, or a moved event
+    shows up here.
+    """
+
+    SOURCE = """
+    _start:
+        rdcycle s11
+        li t0, -5
+        li t1, 3
+        li a0, 0
+        beq t0, t1, fail
+        beq t0, t0, b1
+        j fail
+    b1:
+        bne t0, t0, fail
+        bne t0, t1, b2
+        j fail
+    b2:
+        blt t1, t0, fail
+        blt t0, t1, b3
+        j fail
+    b3:
+        bge t0, t1, fail
+        bge t1, t0, b4
+        j fail
+    b4:
+        bltu t0, t1, fail
+        bltu t1, t0, b5
+        j fail
+    b5:
+        bgeu t1, t0, fail
+        bgeu t0, t1, b6
+        j fail
+    b6:
+        beq t0, t0, b7
+    b7:
+        addi a0, a0, 1
+        jal ra, leaf
+        lui s1, 0x12345
+        auipc s2, 0x1
+        fence
+        li t2, 0x4000000000000003
+        mul s3, t2, t1
+        mulh s4, t2, t0
+        mulhu s5, t2, t0
+        mulhsu s6, t0, t2
+        mulw s7, t0, t2
+        li t3, -100
+        li t4, 7
+        div s8, t3, t4
+        divu s9, t3, t4
+        rem s10, t3, t4
+        remu a1, t3, t4
+        divw a2, t3, t4
+        divuw a3, t3, t4
+        remw a4, t3, t4
+        remuw a5, t3, t4
+        li s0, 100
+    spin:
+        addi s0, s0, -1
+        mul zero, s0, s0
+        bnez s0, spin
+        li s0, 0x8000
+        sd t2, 0(s0)
+        nop
+        nop
+        nop
+        nop
+        nop
+        nop
+        nop
+        nop
+        nop
+        mul zero, t1, t1
+        sw t3, 8(s0)
+        nop
+        nop
+        mul zero, t1, t1
+        mul zero, t1, t1
+        mul zero, t1, t1
+        sh t3, 12(s0)
+        sb t3, 14(s0)
+        ld a6, 0(s0)
+        lw t5, 8(s0)
+        lwu t6, 8(s0)
+        lh gp, 12(s0)
+        lhu tp, 12(s0)
+        lb t4, 14(s0)
+        lbu t1, 14(s0)
+        rdcycle t0
+        sub s11, t0, s11
+        li a7, 93
+        ecall
+    leaf:
+        addi a0, a0, 2
+        ret
+    fail:
+        li a0, 99
+        li a7, 93
+        ecall
+    """
+
+    #: Final registers shared by every preset (x5 and x27 hold cycles).
+    REGS = {
+        1: 0x1064, 2: 0x100000, 3: 0xFFFFFFFFFFFFFF9C, 4: 0xFF9C,
+        6: 0x9C, 7: 0x4000000000000003, 8: 0x8000, 9: 0x12345000, 10: 3,
+        11: 0, 12: 0xFFFFFFFFFFFFFFF2, 13: 0x24924916,
+        14: 0xFFFFFFFFFFFFFFFE, 15: 2, 16: 0x4000000000000003, 17: 93,
+        18: 0x2068, 19: 0xC000000000000009, 20: 0xFFFFFFFFFFFFFFFE,
+        21: 0x4000000000000001, 22: 0xFFFFFFFFFFFFFFFE,
+        23: 0xFFFFFFFFFFFFFFF1, 24: 0xFFFFFFFFFFFFFFF2,
+        25: 0x2492492492492484, 26: 0xFFFFFFFFFFFFFFFE,
+        28: 0xFFFFFFFFFFFFFF9C, 29: 0xFFFFFFFFFFFFFF9C,
+        30: 0xFFFFFFFFFFFFFF9C, 31: 0xFFFFFF9C,
+    }
+
+    #: preset -> (finished_at, instret, cycles between the two rdcycles)
+    TIMING = {
+        "ariane": (1115, 382, 0x458),
+        "openspark-t1": (1891, 382, 0x760),
+        "picorv32": (5760, 382, 0x1677),
+        "anycore": (684, 382, 0x2AA),
+    }
+
+    @pytest.mark.parametrize("core_type", sorted(TIMING))
+    def test_pinned(self, core_type):
+        proto = build("1x1x2")
+        program = assemble(self.SOURCE)
+        proto.load_image(program.base, program.image)
+        core = RiscvCore(proto.sim, "c", proto.tile(0, 0), proto.addrmap,
+                         core_type=core_type)
+        core.load_program(program)
+        core.start(program.entry, sp=0x100000)
+        proto.run()
+        finished_at, instret, cycles = self.TIMING[core_type]
+        assert core.halted
+        assert (core.finished_at, core.instret, core.exit_code) \
+            == (finished_at, instret, 3)
+        expected = {**self.REGS, 5: cycles, 27: cycles}
+        assert core.regs == [0] + [expected[reg] for reg in range(1, 32)]
+
+
+class TestFetchAndHalt:
+    def test_fetch_fault_names_pc(self):
+        # The .word is not a valid encoding, so jumping to it faults.
+        with pytest.raises(WorkloadError, match=r"fetch fault at pc=0x100c"):
+            run_on_prototype("""
+            _start:
+                li a0, 1
+                j data
+                li a7, 93
+            data:
+                .word 0xffffffff
+            """)
+
+    def test_jump_outside_text_faults(self):
+        with pytest.raises(WorkloadError, match=r"fetch fault at pc=0x4000"):
+            run_on_prototype("""
+            _start:
+                li t0, 0x4000
+                jalr x0, t0, 0
+            """)
+
+    def test_ebreak_halts_with_a0(self):
+        _, core = run_on_prototype("""
+        _start:
+            li a0, 7
+            ebreak
+            li a0, 8
+        """)
+        assert core.halted
+        assert core.exit_code == 7
+        assert core.instret == 2
