@@ -20,13 +20,6 @@ Two storms:
   (``batch_kernel_events_per_sec``) and the compiled drain
   (``accel_kernel_events_per_sec``).
 
-A third workload, the *partition storm*
-(:mod:`repro.partition.storm`), runs the batch shape across four
-worker processes synchronized at the PCIe lookahead window
-(``partition_events_per_sec``), asserts bit-identity against the
-monolithic reference under every mode pair, and records the barrier
-overhead share.
-
 Both storms are deterministic (LCG-derived delays), exercise same-cycle
 ties, short mixed delays, and cancellation pressure, and are replayed
 under every ``fast_path`` x ``REPRO_KERNEL`` combination with the
@@ -51,8 +44,6 @@ from pathlib import Path
 from repro.core.config import parse_config
 from repro.core.prototype import Prototype
 from repro.engine import Simulator
-from repro.partition.storm import (run_monolithic_storm,
-                                   run_partitioned_storm)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -273,33 +264,6 @@ def _traces_identical(storm) -> bool:
     return True
 
 
-#: Partition-storm scale: 4 shards at the batch-storm shape plus the
-#: cross-shard token ring — the Fig. 7 "one big config" scenario for the
-#: partitioned engine.
-PARTITION_SHARDS = 4
-
-
-def _storm_digests_match(reference, partitioned) -> bool:
-    """Bit-identity between a monolithic and a partitioned storm run."""
-    return (partitioned["digests"] == reference["digests"]
-            and partitioned["events"] == reference["events"]
-            and partitioned["now"] == reference["now"])
-
-
-def _partition_identity_matrix() -> None:
-    """Replay the storm monolithic vs partitioned under every
-    fast_path x kernel combination; any digest/event/cycle drift fails."""
-    for fast_path in (True, False):
-        for kernel in ("python", "accel"):
-            reference = run_monolithic_storm(
-                shards=PARTITION_SHARDS, fast_path=fast_path, kernel=kernel)
-            partitioned = run_partitioned_storm(
-                shards=PARTITION_SHARDS, fast_path=fast_path, kernel=kernel)
-            assert _storm_digests_match(reference, partitioned), (
-                f"partitioned storm diverges from monolithic "
-                f"(fast_path={fast_path}, kernel={kernel})")
-
-
 def _fig7_matrix(jobs, fast_path=True, kernel=None):
     # The sharded path builds fresh prototypes in workers, so the kernel
     # selection travels via the environment (inherited at fork).
@@ -336,16 +300,7 @@ def test_kernel_throughput(benchmark, report):
             "channel storm trace differs across fast_path x kernel modes"
         assert _traces_identical(_batch_storm), \
             "batch storm trace differs across fast_path x kernel modes"
-        # One mono-vs-partitioned identity check (default modes) and the
-        # partitioned throughput for the gate; the full fast_path x
-        # kernel identity matrix runs in the nightly full bench.
-        reference = run_monolithic_storm(shards=PARTITION_SHARDS)
-        partitioned = run_partitioned_storm(shards=PARTITION_SHARDS)
-        assert _storm_digests_match(reference, partitioned), \
-            "partitioned storm diverges from monolithic in smoke run"
-        smoke = {"new_kernel_events_per_sec": round(eps),
-                 "partition_events_per_sec":
-                     round(partitioned["events_per_sec"])}
+        smoke = {"new_kernel_events_per_sec": round(eps)}
         if ACCEL_AVAILABLE:
             smoke["accel_kernel_events_per_sec"] = round(accel_eps)
         else:
@@ -357,8 +312,7 @@ def test_kernel_throughput(benchmark, report):
             json.dumps(smoke, indent=2) + "\n")
         report("kernel_throughput", "\n".join([
             f"smoke: fast path {eps:,.0f} events/s, batch+accel "
-            f"{accel_eps:,.0f} events/s, partitioned storm "
-            f"{partitioned['events_per_sec']:,.0f} events/s "
+            f"{accel_eps:,.0f} events/s "
             f"(accel {'built' if ACCEL_AVAILABLE else 'UNAVAILABLE'}; "
             f"committed baseline "
             f"{baseline['new_kernel_events_per_sec']:,}; gated by "
@@ -411,24 +365,6 @@ def test_kernel_throughput(benchmark, report):
     else:
         fig7_parallel = fig7_fast
 
-    # Partitioned storm: bit-identity across every mode pair, then
-    # throughput best-of-2 for both sides of the comparison.
-    _partition_identity_matrix()
-    mono_eps = partition_eps = 0.0
-    partitioned = None
-    for _ in range(2):
-        mono = run_monolithic_storm(shards=PARTITION_SHARDS)
-        mono_eps = max(mono_eps, mono["events_per_sec"])
-        candidate = run_partitioned_storm(shards=PARTITION_SHARDS)
-        if candidate["events_per_sec"] >= partition_eps:
-            partition_eps = candidate["events_per_sec"]
-            partitioned = candidate
-    part_metrics = partitioned["partition_metrics"]
-    barrier_wait = part_metrics["obs.partition.barrier_wait_seconds"]
-    compute = part_metrics["obs.partition.compute_seconds"]
-    barrier_share = (barrier_wait / (barrier_wait + compute)
-                     if barrier_wait + compute else 0.0)
-
     results = {
         "storm_events": N_CHAINS * (HOPS_PER_CHAIN + 1),
         "batch_storm_events": None,  # filled below from a counted run
@@ -448,15 +384,6 @@ def test_kernel_throughput(benchmark, report):
         "fig7_python_kernel_seconds": round(fig7_python, 3),
         "fig7_parallel_seconds": round(fig7_parallel, 3),
         "fig7_parallel_jobs": cpus,
-        "partition_shards": PARTITION_SHARDS,
-        "partition_storm_events": partitioned["events"],
-        "partition_events_per_sec": round(partition_eps),
-        "partition_monolithic_events_per_sec": round(mono_eps),
-        "partition_vs_monolithic": round(partition_eps / mono_eps, 2),
-        "partition_barrier_share": round(barrier_share, 3),
-        "partition_quanta": part_metrics["obs.partition.quanta"],
-        "partition_boundary_messages":
-            part_metrics["obs.partition.boundary_messages"],
         "cpu_count": cpus,
     }
     results["batch_storm_events"] = _batch_storm(Simulator())
@@ -477,13 +404,6 @@ def test_kernel_throughput(benchmark, report):
         f"fig7 matrix: {fig7_fast:.2f}s fast path, {fig7_generic:.2f}s "
         f"generic path, {fig7_accel:.2f}s accel kernel, "
         f"{fig7_parallel:.2f}s with jobs={cpus}",
-        f"partitioned storm ({PARTITION_SHARDS} shards): "
-        f"{partition_eps:,.0f} events/s "
-        f"({partition_eps / mono_eps:.2f}x monolithic, "
-        f"{barrier_share:.1%} barrier wait, "
-        f"{part_metrics['obs.partition.quanta']} quanta, "
-        f"{part_metrics['obs.partition.boundary_messages']} boundary "
-        f"messages)",
     ]))
 
     # Tentpole acceptance: the calendar-queue kernel is >= 3x the seed
@@ -503,10 +423,3 @@ def test_kernel_throughput(benchmark, report):
         assert fig7_fast / fig7_parallel >= 2.0, (
             f"fig7 parallel gain {fig7_fast / fig7_parallel:.2f}x < 2x "
             f"on a {cpus}-core host")
-        # Partitioned acceptance: sharding the storm across processes
-        # beats even the compiled single-process drain once each shard
-        # has a core of its own.
-        assert partition_eps >= 1.5 * accel_eps, (
-            f"partitioned storm {partition_eps:,.0f} events/s < 1.5x "
-            f"the compiled drain ({accel_eps:,.0f}) on a "
-            f"{cpus}-core host")

@@ -40,7 +40,7 @@ from .analysis import render_table
 from .cli_common import (EXIT_FAIL, EXIT_OK, EXIT_USAGE, archive_flags,
                          emit, emit_payload, format_flags,
                          instrument_flags, jobs_flags, load_plane_arg,
-                         output_flags, partitions_flags, sampling_flags,
+                         output_flags, sampling_flags,
                          seed_flags, store_flags, write_archive)
 from .cost import FIG13_TOOLS, benchmark_costs, suite_costs
 from .errors import ReproError
@@ -91,27 +91,6 @@ def _sweep_point(task) -> Optional[List]:
 
 
 def cmd_sweep(args) -> int:
-    if getattr(args, "instrument", None):
-        # Parses for interface symmetry; sweep never simulates, so
-        # there is nothing for an instrumentation plane to observe.
-        raise ReproError(
-            "sweep estimates FPGA resource fit without simulating; "
-            "--instrument attaches an instrumentation plane to a "
-            "simulation — use it on `repro trace/stats/latency`")
-    if args.partitions is not None:
-        # The flag parses here for interface symmetry with latency, but
-        # sweep only *estimates* resource fit — nothing simulates, so
-        # there is no simulation to shard.
-        raise ReproError(
-            "sweep estimates FPGA resource fit without simulating; "
-            "--partitions shards a simulation — use it on `repro "
-            "latency` (or set REPRO_PARTITIONS for the benchmarks)")
-    if os.environ.get("REPRO_PARTITIONS"):
-        # sweep ignores the env on purpose (env_default=False above);
-        # say so instead of silently doing nothing with it.
-        print("warning: REPRO_PARTITIONS is set but sweep does not "
-              "simulate, so it has no effect here (it applies to "
-              "`repro latency` and the benchmarks)", file=sys.stderr)
     grid = [(nodes, tiles, args.core)
             for nodes in range(1, DRAM_INTERFACES_PER_FPGA + 1)
             for tiles in range(1, max_tiles_per_fpga(args.core) + 1)]
@@ -136,51 +115,8 @@ def cmd_latency(args) -> int:
     senders = list(range(0, total, max(1, total // 6)))
     intra, inter = [], []
     metrics = None
-    partitions = args.partitions
-    if partitions is not None:
-        if args.jobs is not None:
-            raise ReproError(
-                "--partitions shards one simulation, --jobs shards "
-                "independent sweep points — pick one")
-        from .partition import resolve_partitions
-        if resolve_partitions(config, partitions) < 2:
-            partitions = None   # resolves monolithic: use the plain scan
     start = time.perf_counter()
-    if partitions is not None:
-        # One partitioned prototype scanned in place: same probes and
-        # bit-identical latencies as the monolithic scan, sharded across
-        # worker processes at the PCIe boundary.  --archive merges the
-        # per-partition metric shards exactly and adds the
-        # obs.partition.* counters.
-        if args.store:
-            raise ReproError(
-                "latency --store memoizes sweep points; it does not "
-                "apply to --partitions")
-        obs_spec = None
-        if args.archive:
-            obs_spec = ({"plane": plane.to_dict()} if plane is not None
-                        else {})
-        proto = Prototype(config, partitions=partitions, obs_spec=obs_spec)
-        try:
-            for sender in senders:
-                for receiver in range(total):
-                    if sender == receiver:
-                        continue
-                    latency = proto.measure_pair_latency(sender, receiver)
-                    same_node = (sender // tiles_per_node
-                                 == receiver // tiles_per_node)
-                    (intra if same_node else inter).append(latency)
-            if args.archive:
-                metrics = proto.merged_metrics()
-                # Wall-clock belongs in the manifest, not the metrics:
-                # archived metrics must diff to zero on same-seed reruns.
-                metrics.update({
-                    name: value
-                    for name, value in proto.partition_metrics().items()
-                    if not name.endswith("_seconds")})
-        finally:
-            proto.close()
-    elif args.jobs is not None:
+    if args.jobs is not None:
         # Sharded engine: one fresh prototype per sender row, results
         # identical at any worker count.  --store memoizes each row;
         # --archive attaches per-worker observers and persists the
@@ -902,8 +838,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     sweep = subparsers.add_parser(
         "sweep", help="every BxC configuration that fits one FPGA",
         parents=[jobs_flags(default=1),
-                 partitions_flags(env_default=False),
-                 instrument_flags(),
                  output_flags("write the table to PATH instead of "
                               "stdout")])
     sweep.add_argument("--core", default="ariane")
@@ -915,7 +849,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                             help="worker processes for the sharded probe "
                                  "engine (0 = one per CPU; omit for the "
                                  "legacy in-place scan)"),
-                 partitions_flags(), seed_flags(), output_flags(),
+                 seed_flags(), output_flags(),
                  archive_flags(), store_flags(), instrument_flags()])
     latency.add_argument("config")
     latency.set_defaults(func=cmd_latency)

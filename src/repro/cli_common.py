@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Callable, Dict, Optional
 
@@ -37,39 +36,6 @@ def jobs_count(value: str) -> int:
         raise argparse.ArgumentTypeError(
             f"must be >= 0 (0 means one worker per CPU), got {jobs}")
     return jobs
-
-
-def partitions_count(value: str) -> int:
-    """argparse type for ``--partitions``: a non-negative int
-    (0 = one partition per FPGA), mirroring the ``--jobs`` contract."""
-    try:
-        partitions = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer, got {value!r}")
-    if partitions < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 0 (0 means one partition per FPGA), "
-            f"got {partitions}")
-    return partitions
-
-
-def default_partitions() -> Optional[int]:
-    """The ``REPRO_PARTITIONS`` environment default for ``--partitions``
-    (None when unset — monolithic), mirroring ``REPRO_JOBS``."""
-    raw = os.environ.get("REPRO_PARTITIONS")
-    if raw is None or raw == "":
-        return None
-    try:
-        partitions = int(raw)
-    except ValueError:
-        raise ReproError(
-            f"REPRO_PARTITIONS must be an integer, got {raw!r}")
-    if partitions < 0:
-        raise ReproError(
-            f"REPRO_PARTITIONS must be >= 0 (0 = one per FPGA), "
-            f"got {partitions}")
-    return partitions
 
 
 def parse_intervals(text: Optional[str]) -> Optional[Dict[str, int]]:
@@ -194,26 +160,6 @@ def jobs_flags(default: Optional[int] = 1,
     parent = _parent()
     parent.add_argument("--jobs", type=jobs_count, default=default,
                         metavar="N", help=help)
-    return parent
-
-
-def partitions_flags(env_default: bool = True) -> argparse.ArgumentParser:
-    """``--partitions``: shard one simulation across worker processes.
-
-    Defaults to the ``REPRO_PARTITIONS`` environment variable (resolved
-    at parse time so ``--partitions`` always wins), else monolithic.
-    ``env_default=False`` ignores the environment — for subcommands that
-    validate the flag but never simulate, so an exported
-    ``REPRO_PARTITIONS`` cannot break them.
-    """
-    parent = _parent()
-    parent.add_argument("--partitions", type=partitions_count,
-                        default=default_partitions() if env_default
-                        else None, metavar="N",
-                        help="split one simulation across N worker "
-                             "processes at FPGA boundaries (0 = one per "
-                             "FPGA; default REPRO_PARTITIONS or "
-                             "monolithic)")
     return parent
 
 

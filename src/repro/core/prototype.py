@@ -29,8 +29,7 @@ from .tile import Tile
 
 
 def build_homing(config: PrototypeConfig):
-    """The homing policy object for ``config`` (shared with the
-    partitioned build, where every shard needs an identical instance)."""
+    """The homing policy object for ``config``."""
     if config.homing == "global":
         return GlobalInterleaveHoming(config.n_nodes, config.tiles_per_node)
     if config.homing == "numa":
@@ -42,26 +41,8 @@ def build_homing(config: PrototypeConfig):
 class Prototype:
     """A fully built SMAPPIC system."""
 
-    def __new__(cls, config: Optional[PrototypeConfig] = None, *args,
-                **kwargs):
-        # `partitions=` > 1 swaps in the sharded implementation (one
-        # worker process per FPGA group, synchronized at the PCIe
-        # boundary — see repro.partition); everything else builds the
-        # monolithic system below.  Resolution happens here so both
-        # classes share one constructor signature and call site.
-        partitions = kwargs.get("partitions")
-        if partitions is None and len(args) >= 4:
-            partitions = args[3]
-        if (cls is Prototype and config is not None
-                and partitions is not None):
-            from ..partition import PartitionedPrototype, resolve_partitions
-            if resolve_partitions(config, partitions) > 1:
-                return object.__new__(PartitionedPrototype)
-        return object.__new__(cls)
-
     def __init__(self, config: PrototypeConfig, fast_path: bool = True,
-                 obs=None, kernel: Optional[str] = None,
-                 partitions: Optional[int] = None):
+                 obs=None, kernel: Optional[str] = None):
         self.config = config
         # fast_path=False routes every constant-latency hop through the
         # generic scheduler — slower, but lets tests assert the typed fast
@@ -73,7 +54,7 @@ class Prototype:
         self.sim = Simulator(fast_path=fast_path, obs=obs, kernel=kernel)
         self.obs = self.sim.obs
         self.addrmap = AddressMap(config.n_nodes, config.dram_bytes_per_node)
-        self.homing = self._build_homing(config)
+        self.homing = build_homing(config)
         self.fabric: Optional[PcieFabric] = None
         if config.n_nodes > 1 and config.coherent_interconnect:
             placement = {node: config.fpga_of_node(node)
@@ -84,9 +65,6 @@ class Prototype:
                  self.addrmap, self.fabric)
             for node_id in range(config.n_nodes)
         ]
-
-    def _build_homing(self, config: PrototypeConfig):
-        return build_homing(config)
 
     # ------------------------------------------------------------------
     # Topology helpers
@@ -99,9 +77,7 @@ class Prototype:
         return self.tile(node_id, tile_index)
 
     def tile_addr(self, index: int) -> TileAddr:
-        """The :class:`TileAddr` of a flat Fig. 7 tile index (pure
-        topology — works whether or not the tile object lives in this
-        process)."""
+        """The :class:`TileAddr` of a flat Fig. 7 tile index."""
         node_id, tile_index = divmod(index, self.config.tiles_per_node)
         return TileAddr(node_id, tile_index)
 
@@ -159,7 +135,7 @@ class Prototype:
         memory only (independent-node prototypes).
         """
         if node_id is not None:
-            self._memory_write(node_id, addr, data)
+            self.nodes[node_id].memory.write(addr, data)
             return
         cursor = addr
         view = memoryview(data)
@@ -168,7 +144,7 @@ class Prototype:
             line = line_of(cursor)
             take = min(64 - (cursor - line), len(view))
             owner = self.homing.memory_node_of(line, requester)
-            self._memory_write(owner, cursor, bytes(view[:take]))
+            self.nodes[owner].memory.write(cursor, bytes(view[:take]))
             cursor += take
             view = view[take:]
 
@@ -176,7 +152,7 @@ class Prototype:
                     node_id: Optional[int] = None) -> bytes:
         """Functional read of backing DRAM (does not see dirty cache lines)."""
         if node_id is not None:
-            return self._memory_read(node_id, addr, size)
+            return self.nodes[node_id].memory.read(addr, size)
         out = bytearray()
         cursor = addr
         remaining = size
@@ -185,16 +161,10 @@ class Prototype:
             line = line_of(cursor)
             take = min(64 - (cursor - line), remaining)
             owner = self.homing.memory_node_of(line, requester)
-            out.extend(self._memory_read(owner, cursor, take))
+            out.extend(self.nodes[owner].memory.read(cursor, take))
             cursor += take
             remaining -= take
         return bytes(out)
-
-    def _memory_write(self, node_id: int, addr: int, data: bytes) -> None:
-        self.nodes[node_id].memory.write(addr, data)
-
-    def _memory_read(self, node_id: int, addr: int, size: int) -> bytes:
-        return self.nodes[node_id].memory.read(addr, size)
 
     # ------------------------------------------------------------------
     # Latency probes (Fig. 7 machinery)

@@ -800,54 +800,6 @@ class Simulator:
             self._draining = None
         return executed
 
-    def run_until(self, bound: int, max_events: Optional[int] = None) -> int:
-        """Drain every event *strictly before* ``bound``; returns the count.
-
-        This is the quantum primitive for partitioned simulation
-        (:mod:`repro.partition`): unlike :meth:`run`, the bound is
-        exclusive and ``now`` is **never** force-advanced to it — after
-        the call, ``now`` sits at the last executed event's time (or is
-        unchanged when nothing ran).  That matters for bit-identity with
-        a monolithic run, whose clock also only moves when events
-        execute; a partition's clock must not outrun its own events just
-        because a quantum boundary passed.  Events exactly at ``bound``
-        (e.g. a boundary-message arrival on the quantum edge) stay
-        queued for the next quantum.
-
-        Composes with both drain kernels: the compiled drain takes the
-        same inclusive ``until`` as :meth:`run` (here ``bound - 1``) and
-        neither touches ``now`` past the last executed bucket.
-        """
-        if self._running:
-            raise SimulationError("run() is not reentrant")
-        if bound <= self.now:
-            return 0
-        self._running = True
-        try:
-            if self._accel is not None:
-                executed = self._accel.drain(
-                    self, self._buckets, self._times, self._free,
-                    self._unsorted, bound - 1, max_events)
-            else:
-                executed = self._run_bounded(bound - 1, max_events)
-        finally:
-            self._running = False
-            self._draining = None
-        self._events_executed += executed
-        self.obs.flush()
-        return executed
-
-    def next_event_time(self) -> Optional[int]:
-        """Earliest queued timestamp, or None when the queue is empty.
-
-        Conservative: a bucket holding only cancelled events still
-        reports its time (the lazy drain collects it), so the returned
-        time is a lower bound on the next event that will execute —
-        exactly what a lookahead-based coordinator needs.
-        """
-        times = self._times
-        return times[0] if times else None
-
     def step(self) -> bool:
         """Execute exactly one pending event.  Returns False if none left."""
         return self.run(max_events=1) == 1

@@ -12,7 +12,7 @@ package is that layer for the simulation, shaped after FireSim's
   retry/backoff/heartbeat policy;
 * :class:`JobSpec` fleets come from sweeps (:func:`farm_sweep` expands
   a :class:`~repro.parallel.SweepSpec` one job per point) or ad-hoc
-  builders (partitioned runs weighing N slots, cloud load points);
+  builders (cloud load points);
 * :func:`run_farm` schedules jobs onto free slots, monitors worker
   heartbeats, retries transient failures with capped exponential
   backoff, quarantines deterministic ones (same error twice), memoizes
@@ -39,7 +39,7 @@ from .spec import (FARM_ENV, FarmSpec, FileSpec, HostSpec, JobSpec,
                    local_farm)
 from .suites import (SuitePlan, build_adhoc_job, build_suite_plan,
                      cloud_load_job, farm_sweep, finish_suite,
-                     partition_latency_job, plan_sweep, run_file_spec)
+                     plan_sweep, run_file_spec)
 
 __all__ = [
     "FARM_ENV",
@@ -68,7 +68,6 @@ __all__ = [
     "load_farm_manifest",
     "load_spec_file",
     "local_farm",
-    "partition_latency_job",
     "plan_sweep",
     "register_host_backend",
     "run_farm",

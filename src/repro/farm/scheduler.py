@@ -5,8 +5,8 @@ One single-threaded monitor loop owns the whole fleet (the FireSim
 
 1. **Place** — queued jobs whose backoff has elapsed are placed on the
    first host with enough free slots, in submission order; a job's
-   ``slots`` weight is reserved for its whole attempt (an N-partition
-   job holds N slots).
+   ``slots`` weight is reserved for its whole attempt (a job weighing
+   N slots holds all N until it ends).
 2. **Monitor** — workers stream ``started``/``heartbeat``/``done``/
    ``failed`` events over a private pipe per attempt; a worker that
    dies without a word (crash, OOM kill) is detected through pipe EOF

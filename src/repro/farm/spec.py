@@ -12,18 +12,16 @@ that ``repro farm run <spec.json|yaml>`` consumes::
      "store":   "store",
      "report":  "farm-report",
      "suites":  [{"suite": "fig8", "config": "4x1x12"}],
-     "jobs":    [{"kind": "partition-latency", "config": "2x1x2",
-                  "partitions": 2}],
+     "jobs":    [{"kind": "cloud", "path": "/data", "requests": 4}],
      "fault_injection": {"fig8/0": {"fail": 1}}}
 
 ``suites`` expand to one job per sweep point through the builders in
 :mod:`repro.farm.suites` (so a farm suite and a plain
 :func:`repro.parallel.run_sweep` of the same spec are byte-identical);
-``jobs`` are ad-hoc single jobs (partitioned latency scans that weigh
-N slots, cloud-pipeline load points).  ``fault_injection`` exists for
-tests and CI: it makes named jobs fail (raise a transient error) or
-crash (die without a word) on their first N attempts, which is how the
-retry path stays exercised.
+``jobs`` are ad-hoc single jobs (cloud-pipeline load points).
+``fault_injection`` exists for tests and CI: it makes named jobs fail
+(raise a transient error) or crash (die without a word) on their first
+N attempts, which is how the retry path stays exercised.
 """
 
 from __future__ import annotations
@@ -69,8 +67,8 @@ class JobSpec:
 
     ``fn`` is a module-level (picklable) callable ``fn(payload) ->
     JSON-able result``; ``slots`` is the job's weight against a host's
-    capacity (an N-partition job consumes N slots).  ``family`` and
-    ``index`` identify sweep membership so suite results merge in point
+    capacity (a job that forks N processes should weigh N slots).
+    ``family`` and ``index`` identify sweep membership so suite results merge in point
     order regardless of completion order.  ``inject_fail`` /
     ``inject_crash`` are the fault-injection knobs: the job raises a
     transient error / dies silently on its first N attempts.
@@ -190,7 +188,7 @@ class FileSpec:
     ``instrumentation`` is the resolved canonical plane dict the spec's
     top-level ``instrumentation`` key declared (a spec-file path or an
     inline mapping) — applied to every suite without its own ``obs``
-    key and every partition-latency job.
+    key.
     """
 
     farm: FarmSpec
@@ -289,8 +287,7 @@ def load_spec_file(path: str) -> FileSpec:
         suites.append(plan)
         jobs.extend(plan.jobs)
     for entry in data.get("jobs") or []:
-        jobs.append(build_adhoc_job(entry,
-                                    instrumentation=instrumentation))
+        jobs.append(build_adhoc_job(entry))
     if not jobs:
         raise FarmError(f"farm: spec {path} declares no suites or jobs")
     job_ids = [job.job_id for job in jobs]

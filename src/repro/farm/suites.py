@@ -13,9 +13,8 @@ left to agree by coincidence: serial == pool sweep == farm, byte for
 byte, at any host/slot count — asserted by tests/test_farm.py and the
 CI ``farm-smoke`` job.
 
-Ad-hoc job kinds cover the runs that are not sweep points: a
-partitioned latency scan (slot weight = partition count, since the job
-itself fans out N shard processes) and a cloud-pipeline load point.
+Ad-hoc jobs cover the runs that are not sweep points: a cloud-pipeline
+load point.
 """
 
 from __future__ import annotations
@@ -213,38 +212,8 @@ def build_suite_plan(entry: dict,
 
 
 # ----------------------------------------------------------------------
-# Ad-hoc jobs ({"kind": "partition-latency" | "cloud", ...})
+# Ad-hoc jobs ({"kind": "cloud", ...})
 # ----------------------------------------------------------------------
-
-def partition_latency_job(payload: dict) -> dict:
-    """One partitioned latency scan as a single (slot-weighted) job.
-
-    The job itself fans out ``partitions`` shard worker processes, so
-    its farm slot weight equals the partition count.
-    """
-    from ..core.config import parse_config
-    from ..core.prototype import Prototype
-
-    config = parse_config(payload["config"],
-                          seed=int(payload.get("seed", 0)))
-    plane = payload.get("instrument")
-    proto = Prototype(config, partitions=int(payload["partitions"]),
-                      obs_spec={"plane": plane} if plane else {})
-    try:
-        total = config.total_tiles
-        latencies = [proto.measure_pair_latency(0, receiver)
-                     for receiver in range(1, total)]
-        metrics = proto.merged_metrics()
-        metrics.update({
-            name: value
-            for name, value in proto.partition_metrics().items()
-            if not name.endswith("_seconds")})
-    finally:
-        proto.close()
-    return {"value": {"latencies": latencies,
-                      "mean": sum(latencies) / len(latencies)},
-            "metrics": metrics}
-
 
 def cloud_load_job(payload: dict) -> dict:
     """One cloud-pipeline load point: N requests through Fig. 12."""
@@ -262,38 +231,12 @@ def cloud_load_job(payload: dict) -> dict:
             "metrics": {"obs.cloud.requests": requests}}
 
 
-def build_adhoc_job(entry: dict,
-                    instrumentation: Optional[dict] = None) -> JobSpec:
+def build_adhoc_job(entry: dict) -> JobSpec:
     """A spec-file ``jobs`` entry (non-sweep work) as one JobSpec."""
     if not isinstance(entry, dict) or "kind" not in entry:
         raise FarmError(
             f"farm: every jobs entry needs a 'kind' key, got {entry!r}")
     kind = str(entry["kind"]).replace("_", "-")
-    if kind == "partition-latency":
-        from ..core.config import parse_config
-        from ..partition import resolve_partitions
-
-        config_label = str(entry.get("config", "2x1x2"))
-        config = parse_config(config_label,
-                              seed=int(entry.get("seed", 0)))
-        partitions = resolve_partitions(
-            config, int(entry.get("partitions", 0)))
-        if partitions < 2:
-            raise FarmError(
-                f"farm: partition-latency on {config_label} resolves to "
-                f"{partitions} partition(s); needs >= 2")
-        job_id = str(entry.get("id",
-                               f"partition/{config_label}x{partitions}"))
-        return JobSpec(
-            job_id=job_id, fn=partition_latency_job,
-            payload={"config": config_label,
-                     "seed": int(entry.get("seed", 0)),
-                     "partitions": partitions,
-                     "instrument": instrumentation},
-            slots=int(entry.get("slots", partitions)),
-            family="partition",
-            instrumentation=_plane_hash({"plane": instrumentation}
-                                        if instrumentation else None))
     if kind == "cloud":
         job_id = str(entry.get("id", f"cloud/{entry.get('path', '/data')}"
                                .replace("//", "/")))
@@ -306,4 +249,4 @@ def build_adhoc_job(entry: dict,
             slots=int(entry.get("slots", 1)),
             family="cloud")
     raise FarmError(f"farm: unknown job kind {entry['kind']!r} "
-                    f"(known: partition-latency, cloud)")
+                    f"(known: cloud)")

@@ -33,11 +33,9 @@ from .pcie import PcieFabric
 #: Receive buffer depth (and so sender credits) per (source, channel).
 DEFAULT_CREDITS = 16
 
-#: Bridge pipeline depths, exported as named constants because the
-#: partitioned engine derives its conservative sync window from them
-#: (``repro.partition.window``): the quantum must stay short enough that
-#: a burst entering the encode pipeline near a quantum edge still lands
-#: strictly after the next barrier.
+#: Bridge pipeline depths (cycles): encode and decode each add to both
+#: legs of the inter-FPGA tunnel round trip that ``PCIE_ONE_WAY_CYCLES``
+#: is calibrated against.
 DEFAULT_ENCODE_LATENCY = 2
 DEFAULT_DECODE_LATENCY = 2
 

@@ -81,18 +81,14 @@ class PcieFabric(Component):
                     # link could never carry a message — skip it instead
                     # of registering a dead per-direction obs series.
                     continue
-                link = self._build_link(src, dst)
-                if link is not None:
-                    self._links[(src, dst)] = link
+                self._links[(src, dst)] = self._build_link(src, dst)
 
     def _build_link(self, src: int, dst: int) -> Link:
         """One serializing link for the ordered FPGA pair.
 
         Naming is per path kind: ``name.S->D`` are the true PCIe
         directions, ``name.F.xbar`` the intra-FPGA crossbar hop — so the
-        ``->`` metric series always mean inter-FPGA traffic.  Overridden
-        by the partitioned fabric to capture cross-partition directions
-        into boundary queues instead of delivering locally.
+        ``->`` metric series always mean inter-FPGA traffic.
         """
         if src == dst:
             return Link(self.sim, f"{self.name}.{src}.xbar", self._deliver,

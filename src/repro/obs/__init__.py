@@ -31,7 +31,7 @@ introspection layer over the simulated fabric:
   YAML/JSON instrumentation spec (metric globs, per-category probe
   intervals, trace categories, cycle/event/metric triggers, streamed
   probe series) compiled onto the observer path; ``repro --instrument
-  spec.yaml`` and the farm/partition layers all load the same plane.
+  spec.yaml`` and the farm layer load the same plane.
 
 Observers never mutate model state and never schedule events (sampling
 piggybacks on instrumented activity), so enabling observability cannot

@@ -274,11 +274,11 @@ class Observer(NullObserver):
         A plane's metric globs filter the registry dump here too, so the
         archive records exactly the selection (``obs.*`` accounting is
         always kept).  Trigger counters are exported as floats on
-        purpose: per-shard values are identical for cycle triggers, so
+        purpose: every sweep shard runs the same plane, so per-shard
+        values are identical for cycle triggers and
         :func:`~repro.obs.archive.merge_metric_shards`'s float-mean
-        preserves them across partitions, while the suppressed-event
-        count is an int (events partition across shards, so the sum is
-        exact).
+        preserves them, while the suppressed-event count is an int
+        (each shard suppresses its own events, so the sum is exact).
         """
         out = self.registry.to_dict()
         select = self._select

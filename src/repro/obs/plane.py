@@ -7,10 +7,10 @@ one YAML/JSON document that says which metrics to keep (glob patterns
 over dotted names), how often probes sample (globally and per
 category), which trace categories record, and *when* tracing is live
 (triggers).  The spec is pure data, so one file drives a ``repro
-trace`` run, every job of a farm fleet, and each worker of a
-partitioned prototype identically — and its content hash lands in the
-:class:`~repro.obs.archive.RunArchive` manifest so ``repro diff``
-can refuse to compare runs instrumented differently.
+trace`` run and every job of a farm fleet identically — and its
+content hash lands in the :class:`~repro.obs.archive.RunArchive`
+manifest so ``repro diff`` can refuse to compare runs instrumented
+differently.
 
 Spec shape (YAML or JSON; every key optional)::
 
@@ -67,8 +67,8 @@ TRIGGER_KINDS = ("start_at", "stop_after", "arm_on_event",
 
 #: Probe sampling modes: ``category`` (activity anywhere in a category
 #: samples the whole category — the historical default) or ``component``
-#: (each source samples on its *owning component's* activity, which
-#: makes streamed counter tracks partition-invariant).
+#: (each source samples on its *owning component's* activity only, not
+#: on that of unrelated components in the same category).
 SAMPLING_MODES = ("category", "component")
 
 

@@ -31,13 +31,11 @@ flat no matter how many groups exist.
 
 ``by_owner=True`` switches the grouping to the *owning component*: a
 source then samples only when its own component's hooks nudge the
-clock.  Because a component's hook sequence is bit-identical between a
-monolithic and a partitioned run (and each component lives in exactly
-one partition), owner-mode sample instants — and therefore streamed
-counter tracks — are partition-invariant, which category mode cannot
-promise (in one process, activity anywhere in a category samples the
-whole category).  Components whose hooks never nudge (bridges, DRAM
-engines) contribute no owner-mode samples.
+clock.  Owner-mode sample instants — and therefore streamed counter
+tracks — follow that component's own hook sequence, not the activity
+of unrelated components, which category mode cannot promise (activity
+anywhere in a category samples the whole category).  Components whose hooks never nudge (bridges,
+DRAM engines) contribute no owner-mode samples.
 
 ``materialize=False`` stops the in-memory series append — samples then
 exist only as counter events in the tracer stream, which is how
@@ -218,9 +216,8 @@ class ProbeSet:
         In category mode this is exactly :meth:`maybe_sample` — any
         instrumented activity samples every due group.  In owner mode
         only ``owner``'s group is considered, so a component's sources
-        sample on that component's own activity alone (the
-        partition-invariant contract).  Either way the common case is
-        one integer comparison.
+        sample on that component's own activity alone.  Either way the
+        common case is one integer comparison.
         """
         if now < self._min_due:
             return

@@ -301,32 +301,10 @@ def chrome_from_jsonl(path) -> dict:
     streamed run loads in Perfetto exactly like a ring-buffered one.
     (This materializes the whole trace; it is the viewer-side step, not
     part of the bounded-memory recording path.)
-
-    ``path`` may also be a sequence of shard paths — the per-partition
-    trace files of a partitioned run.  A component recorded by a single
-    shard keeps that shard's emission order (each component lives in
-    exactly one partition, so this reproduces the monolithic order);
-    components fed by several shards (the fabric) merge by timestamp,
-    stably, with ties kept in shard order.
     """
-    if isinstance(path, (str, bytes)) or hasattr(path, "__fspath__"):
-        paths = [path]
-    else:
-        paths = list(path)
     components: Dict[str, List[dict]] = {}
-    shards_of: Dict[str, int] = {}
-    for shard_index, shard_path in enumerate(paths):
-        for event in iter_jsonl_events(shard_path):
-            component = event["comp"]
-            bucket = components.setdefault(component, [])
-            if not bucket or shards_of[component] == shard_index:
-                shards_of[component] = shard_index
-            elif shards_of[component] >= 0:
-                shards_of[component] = -1   # seen from several shards
-            bucket.append(event)
-    for component, bucket in components.items():
-        if shards_of[component] < 0:
-            bucket.sort(key=lambda event: event["ts"])
+    for event in iter_jsonl_events(path):
+        components.setdefault(event["comp"], []).append(event)
     pids: Dict[str, int] = {}
     events: List[dict] = []
     meta: List[dict] = []
@@ -357,43 +335,21 @@ def chrome_from_jsonl(path) -> dict:
 
 
 def probe_series_from_jsonl(path) -> Dict[str, list]:
-    """Rebuild probe counter tracks from streamed JSONL trace(s).
+    """Rebuild probe counter tracks from a streamed JSONL trace.
 
     The inverse of counter-track streaming: planes with
     ``stream_series`` spill probe samples as ``ph="C"`` events instead
     of materializing ``ProbeSet.series()`` in memory, and this turns
     the stream back into the same ``{name: [(cycle, value), ...]}``
     mapping (the viewer-side step, like :func:`chrome_from_jsonl`).
-
-    ``path`` may be a sequence of shard paths — the per-partition trace
-    files of a partitioned run.  A probe recorded by a single shard
-    keeps that shard's emission order (each component samples in
-    exactly one partition); a name fed by several shards merges by
-    timestamp, stably, with ties kept in shard order — the same
-    contract :func:`chrome_from_jsonl` applies to spans.
     """
-    if isinstance(path, (str, bytes)) or hasattr(path, "__fspath__"):
-        paths = [path]
-    else:
-        paths = list(path)
     series: Dict[str, list] = {}
-    shards_of: Dict[str, int] = {}
-    for shard_index, shard_path in enumerate(paths):
-        for event in iter_jsonl_events(shard_path):
-            if event.get("ph") != _PH_COUNTER \
-                    or event.get("cat") != "probe":
-                continue
-            name = event["name"]
-            bucket = series.setdefault(name, [])
-            if not bucket or shards_of[name] == shard_index:
-                shards_of[name] = shard_index
-            else:
-                shards_of[name] = -1   # seen from several shards
-            args = event.get("args") or {}
-            bucket.append((event["ts"], args.get("value")))
-    for name, bucket in series.items():
-        if shards_of[name] < 0:
-            bucket.sort(key=lambda point: point[0])
+    for event in iter_jsonl_events(path):
+        if event.get("ph") != _PH_COUNTER or event.get("cat") != "probe":
+            continue
+        args = event.get("args") or {}
+        series.setdefault(event["name"], []).append(
+            (event["ts"], args.get("value")))
     return series
 
 

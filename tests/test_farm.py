@@ -361,17 +361,16 @@ class TestSpecFiles:
         value = result.values()[0]["value"]
         assert len(value["total_ms"]) == 2
 
-    def test_adhoc_partition_job_weighs_its_partitions(self, tmp_path):
+    def test_adhoc_job_weighs_its_slots(self, tmp_path):
         path = _write_spec(tmp_path, {
             "hosts": [{"name": "a", "slots": 2}],
-            "jobs": [{"kind": "partition-latency", "config": "2x1x2",
-                      "partitions": 2}]})
+            "jobs": [{"kind": "cloud", "requests": 2, "slots": 2}]})
         filespec = load_spec_file(path)
         assert filespec.jobs[0].slots == 2
         result = run_farm(filespec.farm, filespec.jobs)
         assert result.ok
         value = result.values()[0]["value"]
-        assert len(value["latencies"]) == 3    # pairs from core 0
+        assert len(value["total_ms"]) == 2
 
 
 class TestFarmCLI:

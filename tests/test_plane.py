@@ -352,6 +352,62 @@ class TestObserverPlane:
 
 
 # ----------------------------------------------------------------------
+# Streamed output of a real multi-node prototype
+# ----------------------------------------------------------------------
+
+class TestStreamedIdentity:
+    #: Node-local metrics, component sampling, and counter tracks
+    #: spilled to the JSONL stream instead of memory.
+    STREAM_PLANE = {
+        "metrics": ["node*"],
+        "sample_interval": 64,
+        "sampling": "component",
+        "trace": {"categories": ["noc", "cache", "axi", "pcie", "bridge",
+                                 "mem", "link", "probe"],
+                  "stream_series": True},
+    }
+
+    #: Inter-FPGA, inter-node and intra-node pairs on 4x1x2.
+    PAIRS = ((0, 7), (2, 5), (0, 1))
+
+    def _drive(self, obs):
+        proto = Prototype(parse_config("4x1x2"), obs=obs)
+        return [proto.measure_pair_latency(src, dst)
+                for src, dst in self.PAIRS]
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".jsonl.gz"])
+    def test_stream_matches_in_memory_run(self, tmp_path, suffix):
+        from repro.obs import chrome_from_jsonl
+        path = tmp_path / ("stream" + suffix)
+        plane = self.STREAM_PLANE
+        obs = Observer(tracer=StreamingTracer(
+            str(path), categories=plane["trace"]["categories"]),
+            plane=plane)
+        streamed_latencies = self._drive(obs)
+        assert obs.probes.series() == {}       # streamed, never held
+        obs.close()
+
+        # The same run with series held in memory and a ring tracer.
+        held = dict(plane, trace=dict(plane["trace"], stream_series=False))
+        ring = Tracer(categories=held["trace"]["categories"],
+                      ring_capacity=None)
+        obs = Observer(tracer=ring, plane=held)
+        assert self._drive(obs) == streamed_latencies
+        # A source that never sampled has an empty in-memory series and
+        # no trace in the stream at all.
+        series = {name: points
+                  for name, points in obs.probes.series().items() if points}
+        assert series                          # the plane did sample
+        assert ring.dropped == 0
+
+        assert json.dumps(probe_series_from_jsonl(str(path)),
+                          sort_keys=True) == \
+            json.dumps(series, sort_keys=True)
+        assert json.dumps(chrome_from_jsonl(str(path)), sort_keys=True) \
+            == json.dumps(ring.to_chrome(), sort_keys=True)
+
+
+# ----------------------------------------------------------------------
 # CLI: validation, the obs subcommand, and the diff refusal
 # ----------------------------------------------------------------------
 
@@ -392,7 +448,10 @@ class TestCli:
     def test_sweep_rejects_instrument(self, tmp_path, capsys):
         spec = tmp_path / "p.json"
         spec.write_text("{}")
-        assert main(["sweep", "--instrument", str(spec)]) == 2
+        # sweep never simulates, so it does not take the flag at all.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--instrument", str(spec)])
+        assert exit_info.value.code == 2
         assert "--instrument" in capsys.readouterr().err
 
     def test_latency_instrument_requires_archive(self, tmp_path, capsys):
@@ -463,8 +522,6 @@ class TestFarmInstrumentation:
         spec = {
             "hosts": [{"name": "h0", "slots": 2}],
             "suites": [{"suite": "fig7", "config": "1x1x2"}],
-            "jobs": [{"kind": "partition-latency", "config": "2x1x2",
-                      "partitions": 2}],
             "instrumentation": instrumentation,
         }
         path = tmp_path / "farm.json"
@@ -482,6 +539,7 @@ class TestFarmInstrumentation:
         assert filespec.instrumentation == expected.to_dict()
         assert filespec.suites[0].spec.obs_spec == \
             {"plane": expected.to_dict()}
+        assert filespec.jobs and filespec.jobs == filespec.suites[0].jobs
         for job in filespec.jobs:
             assert job.instrumentation == expected.spec_hash
             assert job.describe()["instrumentation"] == expected.spec_hash
